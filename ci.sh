@@ -16,33 +16,29 @@
 #   6. determinism      segram map output diffed across --threads 1 vs 4
 #   7. shard-determinism  segram map output diffed across --shards 1 vs 4,
 #                       crossed with --threads 1 vs 4
-#   8. elastic-shards   `--schedule elastic` (per-shard-group worker pools,
-#                       routed batches, live rebalancing) diffed against
-#                       the default fanout schedule across --shards 1 vs 4
-#                       crossed with --threads 1 vs 4
-#   9. backend-matrix   all four backends (segram/graphaligner/vg/hga)
+#   8. backend-matrix   all four backends (segram/graphaligner/vg/hga)
 #                       through the engine, each diffed across
 #                       --threads 1 vs 4
-#  10. overlapped-io    the framer -> worker-decode -> writer-thread path:
+#   9. overlapped-io    the framer -> worker-decode -> writer-thread path:
 #                       all four backends diffed across --threads 1 vs 8
 #                       (SAM and GAF), the high-thread-count stress of the
 #                       overlapped pipeline's ordering guarantee
-#  11. compressed-io   BGZF input end to end: the FASTQ is re-compressed
+#  10. compressed-io   BGZF input end to end: the FASTQ is re-compressed
 #                      with `segram bgzip` (the in-tree DEFLATE encoder,
 #                      both fixed and stored modes) and mapped through all
 #                      four backends x sam/gaf x --threads 1/8, each run
 #                      diffed byte-for-byte against its plain-input twin
-#  12. persistent-serve `segram index build` -> `map --index` diffed against
+#  11. persistent-serve `segram index build` -> `map --index` diffed against
 #                       `map --graph`, then a live `segram serve` daemon:
 #                       concurrent requests (one cancelled mid-payload)
 #                       diffed against one-shot output, clean shutdown
-#  13. serve-qos        QoS scheduling + hot reload under load: bulk
+#  12. serve-qos        QoS scheduling + hot reload under load: bulk
 #                       requests saturate the workers while interactive
 #                       requests overtake them (per-class queueing-delay
 #                       ordering asserted from the exit report), a RELOAD
 #                       swaps the index mid-run with zero failed requests,
 #                       and every reply byte-diffs against its one-shot
-#  14. incremental-index the versioned store lifecycle: `index build` v1 ->
+#  13. incremental-index the versioned store lifecycle: `index build` v1 ->
 #                       `index update` with a delta VCF -> payload identity
 #                       against a scratch build over the combined VCF
 #                       (inspect checksums + map byte-diff, flat and
@@ -147,34 +143,8 @@ determinism_shards() {
     done
 }
 
-elastic_shards() {
-    # Same 60 kb dataset as shard-determinism. The elastic schedule —
-    # per-shard-group worker pools, batches routed by dominant shard
-    # group, shard ownership rebalanced live from seed-hit counters —
-    # must produce bytes identical to the default fanout schedule for
-    # every shards x threads combination, in both output formats.
-    "$SEGRAM" simulate --out-prefix "$GATE_DIR/ds" \
-        --length 60000 --reads 24 --read-len 120 --seed 11 > /dev/null || return 1
-    local fmt shards threads
-    for fmt in sam gaf; do
-        map_once "$GATE_DIR/fan.$fmt" --format "$fmt" --threads 1 || return 1
-        for shards in 1 4; do
-            for threads in 1 4; do
-                map_once "$GATE_DIR/el-s$shards-t$threads.$fmt" \
-                    --format "$fmt" --threads "$threads" --shards "$shards" \
-                    --schedule elastic || return 1
-                diff "$GATE_DIR/fan.$fmt" "$GATE_DIR/el-s$shards-t$threads.$fmt" \
-                    || { echo "$fmt differs: --schedule elastic --shards $shards --threads $threads"
-                         return 1; }
-            done
-        done
-        echo "  $fmt: elastic identical to fanout across --shards 1/4 x --threads 1/4"
-    done
-}
-
 tier determinism determinism_threads
 tier shard-determinism determinism_shards
-tier elastic-shards elastic_shards
 
 # ---------------------------------------------------------------------------
 # Backend matrix: every pluggable backend rides the same engine, so each

@@ -1,14 +1,12 @@
 //! Criterion benchmarks of the coordinate-range sharded map engine:
 //! 1/2/4-shard batch throughput through the seeding router (output
 //! byte-identical to the unsharded path by construction), the router's
-//! seeding-only overhead, the elastic per-shard-group pool schedule on
-//! uniform vs. skewed read mixes, plus the observed seed-hit imbalance
-//! and the modeled per-HBM-channel accelerator occupancy those shard
-//! streams imply (`segram_hw::simulate_sharded_pipeline`).
+//! seeding-only overhead, plus the observed seed-hit imbalance and the
+//! modeled per-HBM-channel accelerator occupancy those shard streams
+//! imply (`segram_hw::simulate_sharded_pipeline`).
 
 use segram_core::{
-    ElasticScheduler, EngineConfig, MapEngine, ReadMapper, RebalanceConfig, Seeder, SegramConfig,
-    SegramMapper, ShardAffinity, ShardedIndex,
+    EngineConfig, MapEngine, ReadMapper, Seeder, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_hw::{simulate_sharded_pipeline, uniform_jobs};
@@ -44,8 +42,7 @@ fn bench_sharded_engine(c: &mut Criterion) {
     group.throughput(Throughput::Elements(reads.len() as u64));
     for index in &sharded {
         let shards = index.shards().len();
-        let affinity = ShardAffinity::pin_workers(&index.shard_loads(), 4);
-        let engine = MapEngine::with_affinity(index, EngineConfig::with_threads(4), affinity);
+        let engine = MapEngine::new(index, EngineConfig::with_threads(4));
         group.bench_function(BenchmarkId::new("shards", shards), |b| {
             b.iter(|| {
                 let (outcomes, report) = engine.map_batch(black_box(&reads));
@@ -112,71 +109,5 @@ fn bench_router_seeding(c: &mut Criterion) {
     black_box(mapping);
 }
 
-fn bench_elastic_sched(c: &mut Criterion) {
-    let (reads, config, dataset) = setup();
-    let sharded = ShardedIndex::build(dataset.graph().clone(), config, 4);
-
-    // Uniform mix: every simulated read once, landing across the whole
-    // coordinate range. Skewed mix: two reads repeated to fill the same
-    // volume — nearly every batch routes to one shard group, the case
-    // elastic scheduling (and its rebalancer) exists for.
-    let uniform = reads.clone();
-    let skewed: Vec<DnaSeq> = (0..reads.len()).map(|i| reads[i % 2].clone()).collect();
-
-    let mut engine_config = EngineConfig::with_threads(4);
-    // Small batches so one pass produces enough routing decisions (and
-    // rebalance observations) to be representative.
-    engine_config.batch_size = 4;
-
-    let mut group = c.benchmark_group("elastic_sched_150bp");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(reads.len() as u64));
-    for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), 4);
-        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone(), affinity);
-        group.bench_function(BenchmarkId::new("mix", label), |b| {
-            b.iter(|| {
-                let (outcomes, report) = scheduler.map_batch(black_box(mix));
-                black_box((outcomes.len(), report.routed, report.spilled))
-            })
-        });
-    }
-    group.finish();
-
-    // Scheduling observability: single-core CI judges the elastic path by
-    // these counters rather than wall-clock scaling — the routed/spilled
-    // split per mix, and whether skew provokes shard migrations under a
-    // hair-trigger rebalancer. Two pools over four shards, so each pool
-    // owns a multi-shard group and ownership has somewhere to move.
-    for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), 2);
-        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone(), affinity)
-            .with_rebalance(RebalanceConfig {
-                threshold: 1.2,
-                cooldown: 2,
-            });
-        // Warm pass: the rebalancer reads live per-shard seed-hit
-        // counters, which only accumulate as workers map. A first pass
-        // populates them so the reported pass observes the mix's true
-        // skew from its first batch boundary.
-        sharded.reset_shard_stats();
-        let _ = scheduler.map_batch(mix);
-        let (_, report) = scheduler.map_batch(mix);
-        println!(
-            "  info: {} mix -> {} pools, {} routed, {} spilled, {} migrations",
-            label,
-            report.pools.len(),
-            report.routed,
-            report.spilled,
-            report.migrations
-        );
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_sharded_engine,
-    bench_router_seeding,
-    bench_elastic_sched
-);
+criterion_group!(benches, bench_sharded_engine, bench_router_seeding);
 criterion_main!(benches);

@@ -15,9 +15,8 @@ use std::time::{Duration, Instant};
 
 use segram_core::{
     gaf_record_for, run_backend_eval, sam_record_for, Backend, BackendEval, BackendKind,
-    CancelToken, DecodedBlock, ElasticReport, ElasticScheduler, EngineOptions, EngineReport,
-    EvalRead, MapEngine, QueueStats, ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
-    ShardAffinity, ShardedIndex, WorkQueue,
+    CancelToken, DecodedBlock, EngineOptions, EngineReport, EvalRead, MapEngine, QueueStats,
+    ReadMapper, ReadOutcome, SegramConfig, SegramMapper, ShardedIndex, WorkQueue,
 };
 use segram_filter::FilterSpec;
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, GenomeGraph, VariantSet};
@@ -699,8 +698,7 @@ OPTIONS:
                            reads per engine batch: a fixed count, or
                            `auto` to let the producer grow/shrink the
                            batch from queue depth/stall imbalance
-                           (default auto bounds 4:256; --schedule fanout
-                           only)
+                           (default auto bounds 4:256)
     --backend <segram|graphaligner|vg|hga>
                            mapping backend (default segram); the software
                            baselines run through the same engine for
@@ -711,13 +709,6 @@ OPTIONS:
                            with a seeding router in front (default 1; the
                            software analogue of the paper's per-HBM-channel
                            accelerator instances; --backend segram only)
-    --schedule <fanout|elastic>
-                           worker schedule (default fanout: all workers pop
-                           one shared queue). elastic gives each shard group
-                           a dedicated worker pool with its own queue,
-                           routes batches by their dominant shard group, and
-                           rebalances shard ownership live; output bytes are
-                           identical either way (--backend segram only)
     --preset <short|long5|long10>
                            mapper preset (default short)
     --filter <none|base-count|qgram|shd|snake|cascade>
@@ -826,28 +817,6 @@ pub(crate) fn shard_count(options: &Options) -> Result<usize, CliError> {
                 "--shards: unparsable value {text:?}"
             ))),
         },
-    }
-}
-
-/// Worker schedule for `segram map` / `segram serve`: the default fanout
-/// (one shared queue) or the elastic per-shard-group pool schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Schedule {
-    /// Every worker pops the one shared queue; shard affinity is a plan.
-    Fanout,
-    /// Per-shard-group worker pools with routed batches and live
-    /// rebalancing ([`ElasticScheduler`]).
-    Elastic,
-}
-
-/// Parses `--schedule fanout|elastic` (default fanout).
-pub(crate) fn schedule_kind(options: &Options) -> Result<Schedule, CliError> {
-    match options.get("schedule") {
-        None | Some("fanout") => Ok(Schedule::Fanout),
-        Some("elastic") => Ok(Schedule::Elastic),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown schedule {other:?} (expected fanout|elastic)"
-        ))),
     }
 }
 
@@ -1020,12 +989,6 @@ enum MapWriter {
 struct EngineRun {
     report: EngineReport,
     batch_size: usize,
-    /// Worker affinity plan (sharded fanout runs only): per group, the
-    /// shard ids pinned to it.
-    affinity: Option<Vec<Vec<usize>>>,
-    /// The full elastic report (elastic runs only): per-pool
-    /// depth/stall/batch counters plus route/spill/migration totals.
-    elastic: Option<ElasticReport>,
     /// The run consumed a BGZF-compressed stream (the report then shows
     /// the inflate stage time).
     compressed: bool,
@@ -1044,14 +1007,6 @@ enum RunOutput {
         sam_stats: Box<QueueStats>,
         gaf_stats: Box<QueueStats>,
     },
-}
-
-/// How `run_map_stream` drives the engine: the fanout [`MapEngine`] (with
-/// an optional informational affinity plan) or the [`ElasticScheduler`]
-/// over a sharded index.
-enum MapSchedule<'a> {
-    Fanout(Option<ShardAffinity>),
-    Elastic(&'a ShardedIndex, ShardAffinity),
 }
 
 /// Removes partially written output files on drop unless disarmed — the
@@ -1188,11 +1143,11 @@ fn bgzf_frames<'a>(
     })
 }
 
-/// Runs the engine pass for one schedule × input-encoding combination
-/// with the given writer-thread sink, returning the engine report, the
-/// configured batch size, the fanout affinity plan, and the elastic
-/// report. Producer-side framing errors and worker-side inflate/decode
-/// errors land in `errors`; the first of any of them cancels the run.
+/// Runs the engine pass for one input encoding with the given
+/// writer-thread sink, returning the engine report and the configured
+/// batch size. Producer-side framing errors and worker-side
+/// inflate/decode errors land in `errors`; the first of any of them
+/// cancels the run.
 ///
 /// Worker-stage decode: FASTQ parsing happens on the mapping threads,
 /// timed into `MapStats::decode` (and, on the compressed path, block
@@ -1202,22 +1157,15 @@ fn bgzf_frames<'a>(
 /// before the observed failure is guaranteed to reach the decode
 /// closure: the reported error is deterministically the file's *first*
 /// malformed record, whatever the thread count or worker interleaving.
-#[allow(clippy::too_many_arguments)]
 fn drive_engine<M, F>(
     mapper: &M,
-    schedule: MapSchedule<'_>,
     engine_config: EngineOptions,
     reads: MapReads,
     decode_ambiguity: Ambiguity,
     cancel: &CancelToken,
     errors: &InputErrors,
     sink: F,
-) -> (
-    EngineReport,
-    usize,
-    Option<Vec<Vec<usize>>>,
-    Option<ElasticReport>,
-)
+) -> (EngineReport, usize)
 where
     M: ReadMapper,
     F: FnMut(FastqRecord, ReadOutcome) + Send,
@@ -1232,76 +1180,48 @@ where
             None
         }
     };
-    match (schedule, reads.compressed) {
-        (MapSchedule::Fanout(affinity), false) => {
-            let engine = match affinity {
-                Some(affinity) => MapEngine::with_affinity(mapper, engine_config, affinity),
-                None => MapEngine::new(mapper, engine_config),
-            };
-            let raws = plain_frames(reads.source, cancel, errors);
-            let run = engine.map_raw_stream(raws, decode, |record| &record.seq, sink);
-            let batch_size = engine.config().batch_size;
-            let groups = engine.affinity().map(|a| a.groups().to_vec());
-            (run, batch_size, groups, None)
-        }
-        (MapSchedule::Fanout(affinity), true) => {
-            let engine = match affinity {
-                Some(affinity) => MapEngine::with_affinity(mapper, engine_config, affinity),
-                None => MapEngine::new(mapper, engine_config),
-            };
-            let blocks = bgzf_frames(reads.source, cancel, errors);
-            // Workers inflate their blocks in parallel, then enter the
-            // turnstile in block order to re-join records straddling
-            // block boundaries against one shared scanner — the decoded
-            // record stream is exactly what the plain framer would have
-            // produced from the uncompressed bytes.
-            let splice = FastqSplice::new();
-            let decode_block = |block: BgzfBlock| {
-                let started = Instant::now();
-                let plain = match block.inflate() {
-                    Ok(plain) => plain,
-                    Err(err) => {
-                        let mut slot = errors
-                            .bgzf_block
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if slot.as_ref().is_none_or(|(at, _)| block.index() < *at) {
-                            *slot = Some((block.index(), err));
-                        }
-                        return None;
+    let engine = MapEngine::new(mapper, engine_config);
+    let run = if reads.compressed {
+        let blocks = bgzf_frames(reads.source, cancel, errors);
+        // Workers inflate their blocks in parallel, then enter the
+        // turnstile in block order to re-join records straddling block
+        // boundaries against one shared scanner — the decoded record
+        // stream is exactly what the plain framer would have produced
+        // from the uncompressed bytes.
+        let splice = FastqSplice::new();
+        let decode_block = |block: BgzfBlock| {
+            let started = Instant::now();
+            let plain = match block.inflate() {
+                Ok(plain) => plain,
+                Err(err) => {
+                    let mut slot = errors
+                        .bgzf_block
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if slot.as_ref().is_none_or(|(at, _)| block.index() < *at) {
+                        *slot = Some((block.index(), err));
                     }
-                };
-                let raws = splice.splice(block.index(), &plain, block.is_last(), || {
-                    cancel.is_cancelled()
-                })?;
-                // Inflation + the turnstile wait are transport work; what
-                // remains of the closure is FASTQ decoding proper.
-                let inflate = started.elapsed();
-                let mut items = Vec::with_capacity(raws.len());
-                for raw in raws {
-                    items.push(decode(raw)?);
+                    return None;
                 }
-                Some(DecodedBlock { items, inflate })
             };
-            let run = engine.map_block_stream(blocks, decode_block, |record| &record.seq, sink);
-            let batch_size = engine.config().batch_size;
-            let groups = engine.affinity().map(|a| a.groups().to_vec());
-            (run, batch_size, groups, None)
-        }
-        (MapSchedule::Elastic(sharded, affinity), false) => {
-            let scheduler = ElasticScheduler::new(sharded, engine_config, affinity);
-            let batch_size = scheduler.config().batch_size;
-            let raws = plain_frames(reads.source, cancel, errors);
-            let report = scheduler.map_raw_stream(raws, decode, |record| &record.seq, sink);
-            (report.engine, batch_size, None, Some(report))
-        }
-        (MapSchedule::Elastic(..), true) => {
-            // The multi-pool elastic schedule cannot feed the in-order
-            // splice turnstile without deadlock; `map` rejects the
-            // combination before opening the engine.
-            unreachable!("BGZF + elastic is rejected at option validation")
-        }
-    }
+            let raws = splice.splice(block.index(), &plain, block.is_last(), || {
+                cancel.is_cancelled()
+            })?;
+            // Inflation + the turnstile wait are transport work; what
+            // remains of the closure is FASTQ decoding proper.
+            let inflate = started.elapsed();
+            let mut items = Vec::with_capacity(raws.len());
+            for raw in raws {
+                items.push(decode(raw)?);
+            }
+            Some(DecodedBlock { items, inflate })
+        };
+        engine.map_block_stream(blocks, decode_block, |record| &record.seq, sink)
+    } else {
+        let raws = plain_frames(reads.source, cancel, errors);
+        engine.map_raw_stream(raws, decode, |record| &record.seq, sink)
+    };
+    (run, engine.config().batch_size)
 }
 
 /// Rendered lines buffered between the engine's sink and one split
@@ -1364,7 +1284,6 @@ fn create_output<'a>(
 #[allow(clippy::too_many_arguments)]
 fn run_map_stream<M: ReadMapper>(
     mapper: &M,
-    schedule: MapSchedule<'_>,
     threads: usize,
     both: bool,
     options: &Options,
@@ -1449,9 +1368,8 @@ fn run_map_stream<M: ReadMapper>(
                 }
             };
 
-            let (run, batch_size, affinity_groups, elastic) = drive_engine(
+            let (run, batch_size) = drive_engine(
                 mapper,
-                schedule,
                 engine_config,
                 reads,
                 decode_ambiguity,
@@ -1487,8 +1405,6 @@ fn run_map_stream<M: ReadMapper>(
             Ok(EngineRun {
                 report: run,
                 batch_size,
-                affinity: affinity_groups,
-                elastic,
                 compressed,
                 output: RunOutput::Single(target),
             })
@@ -1511,7 +1427,7 @@ fn run_map_stream<M: ReadMapper>(
             let gaf_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
             let write_error: Mutex<Option<CliError>> = Mutex::new(None);
 
-            let (run, batch_size, affinity_groups, elastic) = std::thread::scope(|scope| {
+            let (run, batch_size) = std::thread::scope(|scope| {
                 scope.spawn(|| {
                     drain_split_channel(
                         &sam_queue,
@@ -1555,7 +1471,6 @@ fn run_map_stream<M: ReadMapper>(
 
                 let result = drive_engine(
                     mapper,
-                    schedule,
                     engine_config,
                     reads,
                     decode_ambiguity,
@@ -1591,8 +1506,6 @@ fn run_map_stream<M: ReadMapper>(
             Ok(EngineRun {
                 report: run,
                 batch_size,
-                affinity: affinity_groups,
-                elastic,
                 compressed,
                 output: RunOutput::Split {
                     sam_stats: Box::new(sam_stats),
@@ -1603,15 +1516,9 @@ fn run_map_stream<M: ReadMapper>(
     }
 }
 
-/// The per-shard section of a sharded run's report: occupancy counters,
-/// seeding-load imbalance, and either the (informational) fanout affinity
-/// plan or the elastic per-pool depth/stall/migration counters.
-fn shard_report(
-    sharded: &ShardedIndex,
-    affinity: Option<&Vec<Vec<usize>>>,
-    elastic: Option<&ElasticReport>,
-) -> String {
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+/// The per-shard section of a sharded run's report: occupancy counters
+/// and seeding-load imbalance.
+fn shard_report(sharded: &ShardedIndex) -> String {
     let mut section = String::new();
     let _ = writeln!(
         section,
@@ -1625,43 +1532,6 @@ fn shard_report(
             "  shard {} [{}, {}): {} seed hits, {} regions, {} wins",
             stats.shard, stats.start, stats.end, stats.seed_hits, stats.regions, stats.wins
         );
-    }
-    if let Some(groups) = affinity {
-        let lines: Vec<String> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, shards)| format!("group {g} -> shards {shards:?}"))
-            .collect();
-        let _ = writeln!(section, "worker affinity plan: {}", lines.join(", "));
-    }
-    if let Some(report) = elastic {
-        let _ = writeln!(
-            section,
-            "schedule: elastic — {} pools, {} batches routed, {} spilled, \
-             {} shard migrations",
-            report.pools.len(),
-            report.routed,
-            report.spilled,
-            report.migrations
-        );
-        for (p, pool) in report.pools.iter().enumerate() {
-            let _ = writeln!(
-                section,
-                "  pool {p} -> shards {:?} ({} workers): {} batches \
-                 ({} routed, {} spilled), queue max depth {}, \
-                 producer stalled {}x ({:.2} ms), workers starved {}x ({:.2} ms)",
-                pool.shards,
-                pool.workers,
-                pool.batches,
-                pool.routed,
-                pool.spilled,
-                pool.queue.max_depth,
-                pool.queue.producer_waits,
-                ms(pool.queue.producer_wait),
-                pool.queue.worker_waits,
-                ms(pool.queue.worker_wait)
-            );
-        }
     }
     section
 }
@@ -1682,7 +1552,6 @@ pub fn map(options: &Options) -> Result<String, CliError> {
         "backend",
         "threads",
         "shards",
-        "schedule",
         "batch-size",
         "preset",
         "filter",
@@ -1715,23 +1584,7 @@ pub fn map(options: &Options) -> Result<String, CliError> {
     reject_foreign_filter(backend, options)?;
     let threads = thread_count(options)?;
     let shards = shard_count(options)?;
-    let schedule = schedule_kind(options)?;
-    if schedule == Schedule::Elastic && backend != BackendKind::Segram {
-        return Err(CliError::usage(format!(
-            "--schedule elastic only applies to --backend segram (the pool \
-             schedule routes by the sharded index); drop --schedule or use \
-             --backend segram, got --backend {}",
-            backend.name()
-        )));
-    }
     let batch = batch_spec(options)?;
-    if matches!(batch, Some(BatchSpec::Auto { .. })) && schedule == Schedule::Elastic {
-        return Err(CliError::usage(
-            "--batch-size auto only applies to --schedule fanout (the elastic \
-             pools route fixed-size batches); use a fixed --batch-size or drop \
-             --schedule elastic",
-        ));
-    }
     let mut config = preset(options.get("preset").unwrap_or("short"))?;
     config.prefilter = filter_spec(options.get("filter").unwrap_or("none"))?;
     let both = options.switch("both-strands");
@@ -1776,9 +1629,8 @@ pub fn map(options: &Options) -> Result<String, CliError> {
     }
 
     // A persistent index is native-only: the baseline backends rebuild
-    // their own structures from the GFA. (--shards and --schedule elastic
-    // are fine: the loaded store is re-sharded the same way `segram serve
-    // --shards` does it.)
+    // their own structures from the GFA. (--shards is fine: the loaded
+    // store is re-sharded the same way `segram serve --shards` does it.)
     if let MapSource::Index(_) = source {
         if backend != BackendKind::Segram {
             return Err(CliError::usage(format!(
@@ -1789,137 +1641,45 @@ pub fn map(options: &Options) -> Result<String, CliError> {
         }
     }
 
-    // Sniff the reads file last, after every cheap option check: the
-    // compressed path feeds an in-order splice turnstile that only the
-    // single-queue fanout schedule can drain deadlock-free.
+    // Sniff the reads file last, after every cheap option check.
     let reads = open_reads(reads_path)?;
-    if reads.compressed && schedule == Schedule::Elastic {
-        return Err(CliError::usage(
-            "--schedule elastic cannot read BGZF-compressed input (the \
-             multi-pool schedule cannot feed the in-order block splice); \
-             decompress the reads or drop --schedule elastic",
-        ));
-    }
 
-    let (run, shard_section, source_note) = match source {
+    // One mapper for every source: the native mapper (monolithic or
+    // sharded) or a baseline, all behind the same engine and output path.
+    let (mapper, source_note) = match source {
         MapSource::Index(index_path) => {
             let loaded = persisted_from_index_file(index_path)?;
             let note = format!(
                 "loaded persistent index {index_path} ({})\n",
                 provenance_label(&loaded)
             );
-            if shards <= 1 && schedule == Schedule::Fanout {
-                let mapper = mapper_from_persisted(loaded, config);
-                let run = run_map_stream(
-                    &mapper,
-                    MapSchedule::Fanout(None),
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                (run, String::new(), note)
+            // Re-shard the loaded store exactly as `segram serve --shards`
+            // does — mapping stays byte-identical to the GFA-built run.
+            let mapper = if shards > 1 {
+                Backend::Sharded(sharded_from_persisted(loaded, config, shards))
             } else {
-                // Re-shard the loaded store, exactly as `segram serve
-                // --shards` does — mapping stays byte-identical to the
-                // GFA-built sharded run.
-                let sharded = sharded_from_persisted(loaded, config, shards);
-                if sharded.shards().len() < shards {
-                    eprintln!(
-                        "warning: --shards {shards} exceeds the reference length; \
-                         clamped to {} non-empty coordinate ranges",
-                        sharded.shards().len()
-                    );
-                }
-                let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-                let map_schedule = match schedule {
-                    Schedule::Fanout => MapSchedule::Fanout(Some(affinity)),
-                    Schedule::Elastic => MapSchedule::Elastic(&sharded, affinity),
-                };
-                let run = run_map_stream(
-                    &sharded,
-                    map_schedule,
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                let section = shard_report(&sharded, run.affinity.as_ref(), run.elastic.as_ref());
-                (run, section, note)
-            }
+                Backend::Segram(mapper_from_persisted(loaded, config))
+            };
+            (mapper, note)
         }
-        MapSource::Graph(graph_path) => {
-            let graph = load_graph(graph_path)?;
-            if backend != BackendKind::Segram {
-                // A baseline backend: same engine, same streaming output
-                // path, so the run is directly comparable to (and diffable
-                // against) the native one.
-                let mapper = Backend::build(backend, graph, config, 1);
-                let run = run_map_stream(
-                    &mapper,
-                    MapSchedule::Fanout(None),
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                (run, String::new(), String::new())
-            } else if shards <= 1 && schedule == Schedule::Fanout {
-                let mapper = SegramMapper::new(graph, config);
-                let run = run_map_stream(
-                    &mapper,
-                    MapSchedule::Fanout(None),
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                (run, String::new(), String::new())
-            } else {
-                // Sharded and/or elastic: both need the sharded index (the
-                // elastic schedule over --shards 1 is a single pool, still
-                // exercising the routed path).
-                let sharded = ShardedIndex::build(graph, config, shards);
-                if sharded.shards().len() < shards {
-                    eprintln!(
-                        "warning: --shards {shards} exceeds the reference length; \
-                         clamped to {} non-empty coordinate ranges",
-                        sharded.shards().len()
-                    );
-                }
-                let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-                let map_schedule = match schedule {
-                    Schedule::Fanout => MapSchedule::Fanout(Some(affinity)),
-                    Schedule::Elastic => MapSchedule::Elastic(&sharded, affinity),
-                };
-                let run = run_map_stream(
-                    &sharded,
-                    map_schedule,
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                let section = shard_report(&sharded, run.affinity.as_ref(), run.elastic.as_ref());
-                (run, section, String::new())
-            }
-        }
+        MapSource::Graph(graph_path) => (
+            Backend::build(backend, load_graph(graph_path)?, config, shards),
+            String::new(),
+        ),
     };
+    if let Some(sharded) = mapper.sharded() {
+        if sharded.shards().len() < shards {
+            eprintln!(
+                "warning: --shards {shards} exceeds the reference length; \
+                 clamped to {} non-empty coordinate ranges",
+                sharded.shards().len()
+            );
+        }
+    }
+    let run = run_map_stream(
+        &mapper, threads, both, options, output, reads, reads_path, batch,
+    )?;
+    let shard_section = mapper.sharded().map(shard_report).unwrap_or_default();
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let stats = run.report;

@@ -33,6 +33,9 @@
 //!          BYE\n                              QUIT acknowledged
 //! ```
 //!
+//! A header line holds at most 4 KiB, newline included; a longer one is
+//! answered `ERR header too long` and the connection is closed.
+//!
 //! A request's output document is byte-identical to a one-shot
 //! `segram map --index ref.sgi` over the same reads — `ci.sh`'s serve
 //! tiers diff exactly that, including across a mid-flight `RELOAD`.
@@ -47,16 +50,15 @@ use std::time::Duration;
 
 use segram_core::{
     gaf_record_for, sam_record_for, DeltaSwapReport, EngineOptions, MultiEngine, Priority,
-    QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, RouteHook,
-    SegramMapper, ShardAffinity, ShardedIndex,
+    QueueDelayStats, ReadMapper, RequestHandle, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{Ambiguity, FastqReader, FastqRecord, GafWriter, SamWriter};
 
 use crate::args::Options;
 use crate::commands::{
-    mapper_from_persisted, persisted_from_index_file, preset, provenance_label, schedule_kind,
-    shard_count, sharded_from_persisted, thread_count, write_file, Schedule,
+    mapper_from_persisted, persisted_from_index_file, preset, provenance_label, shard_count,
+    sharded_from_persisted, thread_count, write_file,
 };
 use crate::error::CliError;
 
@@ -66,6 +68,11 @@ const SERVE_BATCH: usize = 32;
 
 /// Maximum bytes per `CHUNK` reply line.
 const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Maximum bytes of a request header line, newline included: a peer that
+/// sends more without a newline gets `ERR header too long` instead of
+/// growing the daemon's buffer.
+const MAX_HEADER_BYTES: u64 = 4 * 1024;
 
 const SERVE_HELP: &str = "\
 segram serve — long-lived mapping daemon over a persistent .sgi index
@@ -93,13 +100,6 @@ OPTIONS:
     --shards <int>         re-shard the loaded index into N coordinate
                            ranges with a seeding router in front
                            (default 1; replies stay byte-identical)
-    --schedule <fanout|elastic>
-                           worker schedule (default fanout: all workers
-                           serve every request batch). elastic splits the
-                           workers into per-shard-group pools, routes each
-                           request batch to the pool owning its dominant
-                           shard group (idle pools steal), and rebalances
-                           shard ownership from live seed-hit counters
     --queue-depth <int>    per-request input-queue capacity in batches
                            (default 2 x threads)
     --max-queued <int>     total queued batches before new requests are
@@ -378,7 +378,6 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
         "addr-file",
         "threads",
         "shards",
-        "schedule",
         "queue-depth",
         "max-queued",
         "preset",
@@ -388,7 +387,6 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
     let index_path = options.require("index")?;
     let threads = thread_count(options)?;
     let shards = shard_count(options)?;
-    let schedule = schedule_kind(options)?;
     let config = preset(options.get("preset").unwrap_or("short"))?;
     let quiet = options.switch("quiet");
     // The shared builder `map` and the benches use too; `MultiEngine`
@@ -402,7 +400,7 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
     let loaded = persisted_from_index_file(index_path)?;
     let boot_label = provenance_label(&loaded);
 
-    if shards <= 1 && schedule == Schedule::Fanout {
+    if shards <= 1 {
         let mapper = mapper_from_persisted(loaded, config);
         let engine = MultiEngine::new(Arc::new(mapper), seq_of, engine_options);
         // The monolithic mapper has no shards to swap piecemeal: every
@@ -416,7 +414,7 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
                 label,
             })
         };
-        return run_daemon(options, engine, index_path, boot_label, reload, quiet, None);
+        return run_daemon(options, engine, index_path, boot_label, reload, quiet);
     }
 
     // Re-shard the persisted index: same graph, same frequency threshold,
@@ -425,7 +423,7 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
     // matches) takes the delta route — only dirty shards are rebuilt,
     // clean shards keep sharing the active Arcs; anything else falls back
     // to a full re-shard of the new file.
-    let sharded = Arc::new(sharded_from_persisted(loaded, config, shards));
+    let sharded = sharded_from_persisted(loaded, config, shards);
     let reload = move |path: &str, current: &ShardedIndex| {
         let loaded = persisted_from_index_file(path)?;
         let label = provenance_label(&loaded);
@@ -444,78 +442,8 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
             }),
         }
     };
-    match schedule {
-        Schedule::Fanout => {
-            let engine = MultiEngine::new(Arc::clone(&sharded), seq_of, engine_options);
-            run_daemon(options, engine, index_path, boot_label, reload, quiet, None)
-        }
-        Schedule::Elastic => {
-            let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-            let pools = affinity.groups().len();
-            let rebalancer = Arc::new(Mutex::new(Rebalancer::new(
-                affinity.groups(),
-                shards,
-                RebalanceConfig::default(),
-            )));
-            // The route hook keeps consulting the boot-time index after a
-            // RELOAD: routing is a locality hint only, so a stale hint
-            // degrades placement, never correctness or output bytes.
-            let route = pool_route(Arc::clone(&sharded), Arc::clone(&rebalancer), pools);
-            let engine = MultiEngine::with_routing(
-                Arc::clone(&sharded),
-                seq_of,
-                engine_options,
-                pools,
-                Some(route),
-            );
-            run_daemon(
-                options,
-                engine,
-                index_path,
-                boot_label,
-                reload,
-                quiet,
-                Some(rebalancer),
-            )
-        }
-    }
-}
-
-/// The serve-side analogue of the elastic producer's pre-route pass: tag a
-/// request batch with the pool owning its dominant shard group (strict
-/// majority of routed seed hits), or `None` to spill to the least-loaded
-/// pool. Each call also feeds the live per-shard seed-hit counters to the
-/// rebalancer, so pool ownership follows observed load across requests.
-fn pool_route(
-    index: Arc<ShardedIndex>,
-    rebalancer: Arc<Mutex<Rebalancer>>,
-    pools: usize,
-) -> RouteHook<FastqRecord> {
-    Arc::new(move |batch| {
-        let router = index.router();
-        let mut shard_hits = vec![0u64; index.shards().len()];
-        for record in batch {
-            for (shard, hits) in router.route_hits(&record.seq).into_iter().enumerate() {
-                shard_hits[shard] += hits;
-            }
-        }
-        let live: Vec<u64> = index.shard_stats().iter().map(|s| s.seed_hits).collect();
-        let Ok(mut rebalancer) = rebalancer.lock() else {
-            return None;
-        };
-        rebalancer.observe(&live);
-        let mut pool_hits = vec![0u64; pools];
-        for (shard, &hits) in shard_hits.iter().enumerate() {
-            pool_hits[rebalancer.pool_of(shard)] += hits;
-        }
-        let total: u64 = pool_hits.iter().sum();
-        let (pool, best) = pool_hits
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(pool, hits)| (hits, std::cmp::Reverse(pool)))?;
-        (total > 0 && 2 * best > total).then_some(pool)
-    })
+    let engine = MultiEngine::new(Arc::new(sharded), seq_of, engine_options);
+    run_daemon(options, engine, index_path, boot_label, reload, quiet)
 }
 
 /// The index-reload hook a daemon runs on `RELOAD <path>`: given the
@@ -547,7 +475,7 @@ impl<M: ReadMapper + Send + Sync + 'static> Copy for Daemon<'_, M> {}
 
 /// The daemon proper: accept loop, per-connection handlers, lifetime
 /// report. Generic over the mapper behind the engine — the monolithic
-/// [`SegramMapper`] or a routed [`ShardedIndex`] — because requests are
+/// [`SegramMapper`] or a [`ShardedIndex`] — because requests are
 /// handled identically either way. `reload` builds a fresh mapper of the
 /// same shape from an `.sgi` path (the `RELOAD` hook).
 fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
@@ -557,7 +485,6 @@ fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
     boot_label: String,
     reload: impl Fn(&str, &M) -> Result<ReloadOutcome<M>, CliError> + Send + Sync,
     quiet: bool,
-    rebalancer: Option<Arc<Mutex<Rebalancer>>>,
 ) -> Result<String, CliError> {
     let addr = options.get("addr").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(addr).map_err(|e| CliError::io(addr, e))?;
@@ -599,8 +526,6 @@ fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
             });
         }
     });
-    let pools = engine.pools();
-    let counters = engine.pool_counters();
     let delays = engine.queue_delays();
     engine.shutdown();
 
@@ -636,18 +561,6 @@ fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
         stats.dirty_shards.load(Ordering::Relaxed),
         stats.clean_shards.load(Ordering::Relaxed)
     );
-    if pools > 1 {
-        let migrations = rebalancer
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|r| r.migrations()))
-            .unwrap_or(0);
-        let _ = writeln!(
-            report,
-            "elastic schedule: {pools} pools, {} batches routed, {} spilled, {} stolen, \
-             {migrations} shard migrations",
-            counters.routed, counters.spilled, counters.stolen
-        );
-    }
     Ok(report)
 }
 
@@ -681,8 +594,17 @@ fn handle_connection<M: ReadMapper + Send + Sync + 'static>(
     let mut writer = BufWriter::new(stream);
 
     let mut header = String::new();
-    if reader.read_line(&mut header).is_err() || header.is_empty() {
-        return Control::Continue;
+    match (&mut reader).take(MAX_HEADER_BYTES).read_line(&mut header) {
+        Err(_) | Ok(0) => return Control::Continue,
+        Ok(n) if n as u64 == MAX_HEADER_BYTES && !header.ends_with('\n') => {
+            let _ = writer.write_all(b"ERR header too long\n");
+            let _ = writer.flush();
+            if !daemon.quiet {
+                eprintln!("serve: {peer} sent a header over {MAX_HEADER_BYTES} bytes");
+            }
+            return Control::Continue;
+        }
+        Ok(_) => {}
     }
     let header = header.trim_end();
     if header == "QUIT" {

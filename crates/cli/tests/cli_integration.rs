@@ -275,6 +275,26 @@ fn usage_errors_are_reported_with_exit_code_2() {
     assert_eq!(err.exit_code(), 2);
     let err = run(&["map", "--grap", "x.gfa", "--reads", "y.fq"]).unwrap_err(); // typo
     assert_eq!(err.exit_code(), 2);
+    // There is one worker schedule, so no option selects one.
+    for args in [
+        &[
+            "map",
+            "--graph",
+            "x.gfa",
+            "--reads",
+            "y.fq",
+            "--schedule",
+            "fanout",
+        ][..],
+        &["serve", "--index", "x.sgi", "--schedule", "fanout"][..],
+    ] {
+        let err = run(args).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{args:?}");
+        assert!(
+            err.to_string().contains("unknown option --schedule"),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -506,11 +526,10 @@ fn sharded_mapping_is_reported_and_output_is_shard_invariant() {
     };
     let run_owned = |args: &[String]| dispatch(args).expect("map");
 
-    // A sharded run reports the per-shard section and worker affinity.
+    // A sharded run reports the per-shard section.
     let report = run_owned(&map_args(Some("3"), "2", "sam", "sharded.sam"));
     assert!(report.contains("shards: 3 coordinate ranges"), "{report}");
     assert!(report.contains("shard 0 ["), "{report}");
-    assert!(report.contains("worker affinity plan: group 0"), "{report}");
     assert!(report.contains("queue: max depth"), "{report}");
 
     // SAM and GAF bytes are identical across shard counts, crossed with

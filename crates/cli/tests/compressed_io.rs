@@ -356,41 +356,67 @@ fn compressed_io_option_conflicts_are_usage_errors() {
         let shown = usage(&["--batch-size", bad]);
         assert!(shown.contains("--batch-size"), "{bad}: {shown}");
     }
-    // Adaptive batching needs the single-queue fanout schedule.
-    let shown = usage(&[
-        "--batch-size",
-        "auto",
-        "--schedule",
-        "elastic",
-        "--shards",
-        "2",
-    ]);
-    assert!(shown.contains("--batch-size auto"), "{shown}");
+}
 
-    // BGZF input cannot feed the elastic schedule's multi-pool routing:
-    // this one needs a real compressed file (the check runs post-sniff).
-    let dir = TempDir::new("conflicts");
-    let prefix = simulate(&dir, "4", "59");
+#[test]
+fn bgzf_sharded_adaptive_map_matches_plain_unsharded() {
+    // Compressed input composes with every engine option: BGZF reads
+    // through two shards with adaptive batching map byte-identically to
+    // the plain reads through the monolithic index.
+    let dir = TempDir::new("bgzf-shards");
+    let prefix = simulate(&dir, "14", "59");
     let gz = dir.path("r.fq.gz");
-    run(&["bgzip", "--input", &format!("{prefix}.fq"), "--output", &gz]).expect("bgzip");
-    let err = run(&[
-        "map",
-        "--graph",
-        &format!("{prefix}.gfa"),
-        "--reads",
+    run(&[
+        "bgzip",
+        "--input",
+        &format!("{prefix}.fq"),
+        "--output",
         &gz,
-        "--schedule",
-        "elastic",
-        "--shards",
-        "2",
+        "--block-bytes",
+        "512",
     ])
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 2);
-    assert!(
-        err.to_string()
-            .contains("cannot read BGZF-compressed input"),
-        "{err}"
-    );
+    .expect("bgzip");
+
+    let map = |reads: &str, format: &str, out: &str, extra: &[&str]| {
+        let gfa = format!("{prefix}.gfa");
+        let out = dir.path(out);
+        let mut args = vec![
+            "map",
+            "--graph",
+            &gfa,
+            "--reads",
+            reads,
+            "--format",
+            format,
+            "--output",
+            &out,
+            "--both-strands",
+        ];
+        args.extend_from_slice(extra);
+        let report = run(&args).expect("map");
+        (report, fs::read(&out).unwrap())
+    };
+    for format in ["sam", "gaf"] {
+        let (_, plain) = map(
+            &format!("{prefix}.fq"),
+            format,
+            &format!("plain.{format}"),
+            &["--shards", "1", "--threads", "1"],
+        );
+        let (report, compressed) = map(
+            &gz,
+            format,
+            &format!("bgzf.{format}"),
+            &["--shards", "2", "--threads", "4", "--batch-size", "auto"],
+        );
+        assert!(report.contains("shards: 2 coordinate ranges"), "{report}");
+        assert!(report.contains("batching: adaptive"), "{report}");
+        assert!(report.contains("inflate:"), "{report}");
+        assert_eq!(
+            plain, compressed,
+            "{format}: BGZF --shards 2 --batch-size auto differs from plain --shards 1"
+        );
+    }
 }
 
 #[test]

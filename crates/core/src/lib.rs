@@ -61,11 +61,9 @@ pub use mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
 pub use pangenome::{Chromosome, Pangenome, PangenomeMapping};
 pub use pipeline::{
     gaf_record_for, sam_record_for, Aligner, BatchBounds, BatchTrajectory, BitAlignStage,
-    CancelToken, DecodedBlock, ElasticReport, ElasticScheduler, EngineBusy, EngineConfig,
-    EngineOptions, EngineReport, MapEngine, MapPipeline, MinSeedStage, MultiConfig, MultiEngine,
-    PoolCounters, PoolReport, Prefilter, Priority, QueueDelayStats, QueueStats, ReadOutcome,
-    RebalanceConfig, Rebalancer, RequestHandle, RequestPanicked, RouteHook, Seeder, ShardAffinity,
-    ShardRouter, SpecPrefilter, WorkQueue,
+    CancelToken, DecodedBlock, EngineBusy, EngineConfig, EngineOptions, EngineReport, MapEngine,
+    MapPipeline, MinSeedStage, MultiEngine, Prefilter, Priority, QueueDelayStats, QueueStats,
+    ReadOutcome, RequestHandle, RequestPanicked, Seeder, ShardRouter, SpecPrefilter, WorkQueue,
 };
 pub use sam::{mapq_estimate, sam_document, SamRecord};
 pub use shard::{

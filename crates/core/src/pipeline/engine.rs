@@ -29,14 +29,10 @@
 //!
 //! The engine is generic over [`ReadMapper`], so the same driver runs the
 //! monolithic [`SegramMapper`] and the coordinate-range
-//! [`ShardedIndex`](crate::ShardedIndex). Both bounded queues expose
-//! depth/wait counters ([`QueueStats`]) to locate the
-//! producer-vs-worker-vs-writer bottleneck, and a [`ShardAffinity`] plan
-//! assigns workers to shard groups with the same size-balanced placement
-//! the paper uses for chromosomes over memory channels. This engine is
-//! the *fanout* schedule — every worker pops from the one shared queue;
-//! the per-shard-group pool schedule lives in
-//! [`elastic`](crate::pipeline::elastic).
+//! [`ShardedIndex`](crate::ShardedIndex). Every worker pops from the one
+//! shared queue and maps each read against the whole (possibly sharded)
+//! index. Both bounded queues expose depth/wait counters ([`QueueStats`])
+//! to locate the producer-vs-worker-vs-writer bottleneck.
 //!
 //! Failure model: the first panic anywhere in the pipeline (decode,
 //! mapper, sink) is captured, the run is cancelled, and the original
@@ -55,7 +51,6 @@ use segram_graph::DnaSeq;
 use segram_sim::Strand;
 
 use crate::mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
-use crate::shard::balance_loads;
 
 /// A shared cooperative stop flag: cloning yields handles onto the same
 /// flag, so the CLI (or any engine embedder) can hand one clone to the
@@ -108,9 +103,7 @@ pub struct EngineConfig {
     /// Adaptive batch sizing: when set, the producer observes the live
     /// queue imbalance at each refill and grows/shrinks the batch size
     /// within these bounds (see [`BatchBounds`]); `batch_size` is then
-    /// only the starting point. `None` keeps batches fixed. The elastic
-    /// scheduler ignores this knob (its pre-route pass wants stable
-    /// batch shapes).
+    /// only the starting point. `None` keeps batches fixed.
     pub adaptive_batch: Option<BatchBounds>,
 }
 
@@ -154,12 +147,17 @@ impl EngineConfig {
     }
 }
 
+/// Every available core: the thread count a zero `threads` option means.
+pub(crate) fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: default_threads(),
             batch_size: 16,
             queue_depth: 0,
             both_strands: false,
@@ -169,38 +167,32 @@ impl Default for EngineConfig {
     }
 }
 
-/// The one builder for engine tuning knobs, shared by every engine in the
-/// workspace. [`EngineConfig`] (single-stream [`MapEngine`] /
-/// [`ElasticScheduler`](super::ElasticScheduler)) and
-/// [`MultiConfig`](super::MultiConfig) (the serve-mode
-/// [`MultiEngine`](super::MultiEngine)) historically duplicated the same
-/// fields; `EngineOptions` holds the superset once, and every engine
-/// constructor accepts it directly (`impl Into<Config>`). Knobs a target
-/// engine does not have are simply ignored by the conversion:
-/// `batch_size` by [`MultiConfig`] (the daemon batches on the wire),
-/// `max_queued` and `cancel` by [`EngineConfig`] / [`MultiConfig`]
-/// respectively (admission is a multi-engine concept, cancellation is
-/// per-request there).
+/// The one builder for engine tuning knobs, shared by both engines in
+/// the workspace: the single-stream [`MapEngine`] (via its
+/// [`EngineConfig`]) and the serve-mode [`MultiEngine`](super::MultiEngine)
+/// both accept it. Knobs an engine does not have are ignored:
+/// `max_queued` by [`MapEngine`] (admission is a multi-request concept),
+/// and `batch_size`, `cancel` and `adaptive_batch` by the multi-request
+/// engine (the daemon batches on the wire and cancels per request).
 ///
 /// # Examples
 ///
 /// ```
-/// use segram_core::{EngineConfig, EngineOptions, MultiConfig};
+/// use segram_core::{EngineConfig, EngineOptions};
 ///
 /// let options = EngineOptions::new().threads(4).queue_depth(8).both_strands(true);
-/// let single: EngineConfig = options.clone().into();
-/// let multi: MultiConfig = options.into();
+/// let single: EngineConfig = options.into();
 /// assert_eq!(single.threads, 4);
-/// assert_eq!(multi.queue_depth, 8);
-/// assert!(single.both_strands && multi.both_strands);
+/// assert_eq!(single.queue_depth, 8);
+/// assert!(single.both_strands);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
-    threads: usize,
+    pub(crate) threads: usize,
     batch_size: usize,
-    queue_depth: usize,
-    max_queued: usize,
-    both_strands: bool,
+    pub(crate) queue_depth: usize,
+    pub(crate) max_queued: usize,
+    pub(crate) both_strands: bool,
     cancel: CancelToken,
     adaptive_batch: Option<BatchBounds>,
 }
@@ -260,8 +252,8 @@ impl EngineOptions {
         self
     }
 
-    /// Enables adaptive batch sizing within `[min, max]` (fanout
-    /// [`MapEngine`] only; other engines ignore it — see
+    /// Enables adaptive batch sizing within `[min, max]` ([`MapEngine`]
+    /// only; the multi-request engine ignores it — see
     /// [`EngineConfig::adaptive_batch`]).
     pub fn adaptive_batch(mut self, min: usize, max: usize) -> Self {
         self.adaptive_batch = Some(BatchBounds { min, max });
@@ -291,24 +283,6 @@ impl From<EngineOptions> for EngineConfig {
     }
 }
 
-impl EngineOptions {
-    /// The pieces [`MultiConfig`](super::MultiConfig)'s conversion needs,
-    /// without exposing the fields (crate-internal).
-    pub(crate) fn multi_parts(&self) -> (usize, usize, usize, bool) {
-        let threads = if self.threads == 0 {
-            EngineConfig::default().threads
-        } else {
-            self.threads
-        };
-        (
-            threads,
-            self.queue_depth,
-            self.max_queued,
-            self.both_strands,
-        )
-    }
-}
-
 /// Poison-tolerant lock: a panicking thread is already captured by the
 /// engine's first-failure slot, so other threads keep the lock usable
 /// instead of dying on the poison flag (the cascade this replaces).
@@ -320,21 +294,20 @@ pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The first panic payload captured from any pipeline stage; later
 /// failures (usually knock-on effects of the first) are dropped.
-/// Crate-visible because the elastic scheduler shares the failure model.
 #[derive(Default)]
-pub(crate) struct FirstFailure {
+struct FirstFailure {
     slot: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
 
 impl FirstFailure {
-    pub(crate) fn record(&self, payload: Box<dyn Any + Send + 'static>) {
+    fn record(&self, payload: Box<dyn Any + Send + 'static>) {
         let mut slot = relock(&self.slot);
         if slot.is_none() {
             *slot = Some(payload);
         }
     }
 
-    pub(crate) fn take(&self) -> Option<Box<dyn Any + Send + 'static>> {
+    fn take(&self) -> Option<Box<dyn Any + Send + 'static>> {
         relock(&self.slot).take()
     }
 }
@@ -455,68 +428,13 @@ pub struct QueueStats {
     pub park_wait: Duration,
 }
 
-/// Worker-to-shard ownership plan: distributes shard ids over worker
-/// groups with the same greedy size-balanced placement the paper uses to
-/// spread chromosomes across HBM channels (Section 8.3,
-/// [`balance_loads`](crate::balance_loads)).
-///
-/// The [`ElasticScheduler`](crate::pipeline::ElasticScheduler) consumes
-/// this plan as its *initial* pool placement: each group becomes a worker
-/// pool with its own bounded queue, batches are routed by the seeding
-/// router's shard decision, and a live rebalancer migrates shard
-/// ownership between pools as the load skews. Under the fanout schedule
-/// ([`MapEngine`]) the plan is informational only — every worker pops
-/// from the one shared queue (the historical per-group batch counters
-/// that measured that shared-queue scheduling are gone; per-pool batch
-/// counts live in the elastic report, per-shard occupancy in
-/// [`ShardStats`](crate::ShardStats)).
-///
-/// With more workers than shards, workers share groups round-robin; with
-/// more shards than workers, a group owns several shards.
-#[derive(Debug)]
-pub struct ShardAffinity {
-    /// Per group, the shard ids pinned to it.
-    groups: Vec<Vec<usize>>,
-    /// Worker index → group index.
-    worker_group: Vec<usize>,
-}
-
-impl ShardAffinity {
-    /// Pins `workers` workers to shard groups balanced by `shard_loads`
-    /// (per-shard memory bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_loads` is empty or `workers` is zero.
-    pub fn pin_workers(shard_loads: &[u64], workers: usize) -> Self {
-        assert!(!shard_loads.is_empty(), "at least one shard");
-        assert!(workers > 0, "at least one worker");
-        let group_count = workers.min(shard_loads.len());
-        let groups = balance_loads(shard_loads, group_count);
-        let worker_group = (0..workers).map(|w| w % group_count).collect();
-        Self {
-            groups,
-            worker_group,
-        }
-    }
-
-    /// Per group, the shard ids pinned to it.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// The shard group a worker is pinned to.
-    pub fn group_of(&self, worker: usize) -> usize {
-        self.worker_group[worker % self.worker_group.len()]
-    }
-}
-
 /// A bounded single-producer / multi-consumer batch queue (Mutex +
 /// Condvar; no external dependencies). `push` blocks while the queue is
 /// full, `pop` blocks while it is empty, and `close` wakes everyone so
-/// drained workers observe end-of-stream. The elastic scheduler runs one
-/// of these per worker pool, and the CLI's split SAM+GAF emission runs
-/// one per output file as a bounded writer channel (hence public).
+/// drained workers observe end-of-stream. The engine runs one as its
+/// input queue and one as its ordered channel to the writer thread, and
+/// the CLI's split SAM+GAF emission runs one per output file as a bounded
+/// writer channel (hence public).
 pub struct WorkQueue<T> {
     // Missing-Debug note: Debug is implemented manually below (the
     // items themselves need no Debug bound).
@@ -625,8 +543,8 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Current queued-item count — the live load signal behind the
-    /// elastic scheduler's least-loaded spill decision.
+    /// Current queued-item count — the live depth signal the adaptive
+    /// batch controller reads at each refill.
     pub fn len(&self) -> usize {
         relock(&self.inner).items.len()
     }
@@ -666,7 +584,7 @@ impl<T> WorkQueue<T> {
 /// iterator, sink, pipeline) releases the threads blocked on the queue
 /// and lets `std::thread::scope` propagate the panic instead of
 /// deadlocking.
-pub(crate) struct CloseOnDrop<'a, T>(pub(crate) &'a WorkQueue<T>);
+struct CloseOnDrop<'a, T>(&'a WorkQueue<T>);
 
 impl<T> Drop for CloseOnDrop<'_, T> {
     fn drop(&mut self) {
@@ -678,12 +596,10 @@ impl<T> Drop for CloseOnDrop<'_, T> {
 /// every earlier batch has been handed — still in input order — to the
 /// bounded channel feeding the writer thread. The lock covers only this
 /// bookkeeping; rendering and IO happen on the writer thread, outside it.
-/// Crate-visible: the elastic scheduler's pools all merge through one of
-/// these, which is what keeps pool-routed output byte-identical.
-pub(crate) struct Reorder<T> {
-    pub(crate) next: usize,
-    pub(crate) pending: BTreeMap<usize, Vec<(T, ReadOutcome)>>,
-    pub(crate) report: EngineReport,
+struct Reorder<T> {
+    next: usize,
+    pending: BTreeMap<usize, Vec<(T, ReadOutcome)>>,
+    report: EngineReport,
 }
 
 /// The result of decoding one raw input unit in the worker stage, for
@@ -734,7 +650,6 @@ impl<T> DecodedBlock<T> {
 pub struct MapEngine<'m, M: ReadMapper = SegramMapper> {
     mapper: &'m M,
     config: EngineConfig,
-    affinity: Option<ShardAffinity>,
 }
 
 impl<'m, M: ReadMapper> MapEngine<'m, M> {
@@ -744,33 +659,12 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         Self {
             mapper,
             config: config.into(),
-            affinity: None,
-        }
-    }
-
-    /// Binds the engine to a mapper with a worker-to-shard-group
-    /// ownership plan (see [`ShardAffinity`] for what the plan does and
-    /// does not affect).
-    pub fn with_affinity(
-        mapper: &'m M,
-        config: impl Into<EngineConfig>,
-        affinity: ShardAffinity,
-    ) -> Self {
-        Self {
-            mapper,
-            config: config.into(),
-            affinity: Some(affinity),
         }
     }
 
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The worker-to-shard pinning, when configured.
-    pub fn affinity(&self) -> Option<&ShardAffinity> {
-        self.affinity.as_ref()
     }
 
     /// Maps one read according to the engine's strand policy.
@@ -1433,44 +1327,6 @@ mod tests {
             "contended run recorded no waits: {:?}",
             report.queue
         );
-    }
-
-    #[test]
-    fn shard_affinity_pins_every_shard_to_exactly_one_group() {
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let affinity = ShardAffinity::pin_workers(&[100, 80, 60, 40], 4);
-        // Every shard pinned to exactly one group.
-        let mut pinned: Vec<usize> = affinity.groups().iter().flatten().copied().collect();
-        pinned.sort_unstable();
-        assert_eq!(pinned, vec![0, 1, 2, 3]);
-        // The plan rides along without changing the fanout engine's run.
-        let mut config = EngineConfig::with_threads(4);
-        config.batch_size = 2;
-        let engine = MapEngine::with_affinity(&mapper, config, affinity);
-        let (_, report) = engine.map_batch(&reads);
-        assert_eq!(report.reads, reads.len());
-        assert_eq!(
-            engine
-                .affinity()
-                .expect("affinity configured")
-                .groups()
-                .len(),
-            4
-        );
-    }
-
-    #[test]
-    fn more_workers_than_shards_share_groups() {
-        let affinity = ShardAffinity::pin_workers(&[10, 20], 5);
-        assert_eq!(affinity.groups().len(), 2);
-        for worker in 0..5 {
-            assert!(affinity.group_of(worker) < 2);
-        }
-        // More shards than workers: one group owns several shards.
-        let wide = ShardAffinity::pin_workers(&[5, 4, 3, 2, 1], 2);
-        assert_eq!(wide.groups().len(), 2);
-        assert_eq!(wide.groups().iter().map(Vec::len).sum::<usize>(), 5);
     }
 
     #[test]

@@ -23,14 +23,12 @@
 //!   decode runs in the worker stage and the sink runs on a dedicated
 //!   writer thread, with a [`CancelToken`] stopping both ends promptly on
 //!   failure;
+//! * [`MultiEngine`] — the long-lived multi-request engine behind
+//!   `segram serve` ([`multi`]): one worker pool multiplexing concurrent
+//!   requests with QoS scheduling and per-request ordered output;
 //! * [`ShardRouter`] — the sharded seeding stage: per-shard index lookups
 //!   merged into the monolithic candidate order before
 //!   prefilter/alignment ([`router`]);
-//! * [`ElasticScheduler`] — the per-shard-group pool schedule over a
-//!   sharded index ([`elastic`]): batches routed to dedicated pools by the
-//!   router's shard decision, with a live imbalance-driven [`Rebalancer`]
-//!   migrating shard ownership between pools — same bytes as the fanout
-//!   engine, by the shared reorder buffer;
 //! * [`sam_record_for`] / [`gaf_record_for`] — render one engine outcome
 //!   into the interchange formats, shared by the CLI and the test suite.
 //!
@@ -38,20 +36,17 @@
 //! module: it owns the graph + index and wires the default stages into a
 //! [`MapPipeline`].
 
-mod elastic;
 mod engine;
 mod multi;
 mod router;
 mod stages;
 
-pub use elastic::{ElasticReport, ElasticScheduler, PoolReport, RebalanceConfig, Rebalancer};
 pub use engine::{
     BatchBounds, BatchTrajectory, CancelToken, DecodedBlock, EngineConfig, EngineOptions,
-    EngineReport, MapEngine, QueueStats, ReadOutcome, ShardAffinity, WorkQueue,
+    EngineReport, MapEngine, QueueStats, ReadOutcome, WorkQueue,
 };
 pub use multi::{
-    EngineBusy, MultiConfig, MultiEngine, PoolCounters, Priority, QueueDelayStats, RequestHandle,
-    RequestPanicked, RouteHook,
+    EngineBusy, MultiEngine, Priority, QueueDelayStats, RequestHandle, RequestPanicked,
 };
 pub use router::ShardRouter;
 pub use stages::{Aligner, BitAlignStage, MinSeedStage, Prefilter, Seeder, SpecPrefilter};

@@ -39,16 +39,6 @@
 //!   `Arc` at open, so in-flight requests finish (and render) against the
 //!   old index while new requests map against the new one — the
 //!   zero-downtime `RELOAD` hook of `segram serve`.
-//! * **Pool routing** (optional, [`MultiEngine::with_routing`]) — the
-//!   elastic-schedule analogue for the daemon: workers are partitioned
-//!   into pools (worker `w` → pool `w % pools`), a route hook tags each
-//!   pushed batch with a preferred pool (e.g. its dominant shard group
-//!   via [`ShardRouter::route_hits`](super::ShardRouter::route_hits)),
-//!   and workers prefer batches tagged for their own pool, *stealing*
-//!   cross-pool only when nothing of their own is runnable — so locality
-//!   never costs liveness, and per-request ordering (hence output bytes)
-//!   is untouched by where a batch actually ran. [`PoolCounters`] reports
-//!   how many batches were routed, spilled, and stolen.
 //!
 //! Ordering guarantee: within a request, outputs are released strictly in
 //! push order, so a request's output is byte-identical to running the same
@@ -69,50 +59,9 @@ use segram_sim::Strand;
 
 use crate::mapper::ReadMapper;
 
-use super::engine::{relock, CancelToken, EngineOptions, EngineReport, ReadOutcome};
-
-/// Tuning knobs of a [`MultiEngine`].
-#[derive(Clone, Debug)]
-pub struct MultiConfig {
-    /// Worker thread count (clamped to at least 1).
-    pub threads: usize,
-    /// Per-request input-queue capacity in batches (0 = `2 × threads`).
-    /// [`RequestHandle::push`] blocks past this, so one producer cannot
-    /// buffer its whole stream into the engine.
-    pub queue_depth: usize,
-    /// Admission limit: when the total queued batches across all open
-    /// requests reaches this, [`MultiEngine::open`] refuses with
-    /// [`EngineBusy`] (0 = `4 ×` the effective queue depth).
-    pub max_queued: usize,
-    /// Map each read on both strands and keep the better mapping.
-    pub both_strands: bool,
-}
-
-impl MultiConfig {
-    /// A configuration with `threads` workers and default batching.
-    #[deprecated(
-        note = "build a shared `EngineOptions` (`EngineOptions::new().threads(n)`) and pass it \
-                to the engine constructor instead"
-    )]
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-}
-
-impl From<EngineOptions> for MultiConfig {
-    fn from(options: EngineOptions) -> Self {
-        let (threads, queue_depth, max_queued, both_strands) = options.multi_parts();
-        Self {
-            threads,
-            queue_depth,
-            max_queued,
-            both_strands,
-        }
-    }
-}
+use super::engine::{
+    default_threads, relock, CancelToken, EngineOptions, EngineReport, ReadOutcome,
+};
 
 /// A request's priority class, ordered by urgency: workers always pick a
 /// runnable request of a higher class before any lower one, and
@@ -226,19 +175,6 @@ impl DelayWindow {
     }
 }
 
-impl Default for MultiConfig {
-    fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            queue_depth: 0,
-            max_queued: 0,
-            both_strands: false,
-        }
-    }
-}
-
 /// Admission refusal: the engine's queued-batch depth has reached the
 /// configured limit. Clients should retry later (the `segram serve` line
 /// protocol surfaces this as a `BUSY` reply carrying the depth).
@@ -294,29 +230,11 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Route/spill/steal totals of a pool-routed [`MultiEngine`] (all zero
-/// without routing): `routed` batches carried a route-hook pool tag,
-/// `spilled` ones fell back to the least-loaded pool, and `stolen` ones
-/// were ultimately mapped by a worker from a *different* pool (the
-/// work-stealing that keeps routing from ever idling a worker).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolCounters {
-    /// Batches the route hook assigned to a specific pool.
-    pub routed: u64,
-    /// Batches the hook declined (straddling groups, or no signal),
-    /// tagged with the least-loaded pool instead.
-    pub spilled: u64,
-    /// Batches mapped by a worker outside their tagged pool.
-    pub stolen: u64,
-}
-
 /// One queued input batch of a request, in push order.
 struct QueuedBatch<T> {
     /// Position in the request's push order (the reorder key).
     index: usize,
     items: Vec<T>,
-    /// The pool this batch is tagged for.
-    pool: usize,
     /// When [`RequestHandle::push`] enqueued it — the queueing-delay
     /// measurement starts here and ends at worker pickup.
     enqueued: Instant,
@@ -395,9 +313,6 @@ struct Sched<M, T> {
     /// Total queued input batches across requests — the live admission /
     /// backpressure depth.
     queued_total: usize,
-    /// Queued batches per pool tag — the least-loaded spill signal.
-    queued_per_pool: Vec<usize>,
-    counters: PoolCounters,
     /// Lifetime queueing-delay windows, indexed by [`Priority::index`].
     class_delays: [DelayWindow; 3],
     /// Timestamps of the most recent worker picks — the live drain-rate
@@ -434,9 +349,6 @@ impl<M, T> Sched<M, T> {
         };
         if req.cancel.is_cancelled() {
             self.queued_total -= req.input.len();
-            for batch in &req.input {
-                self.queued_per_pool[batch.pool] -= 1;
-            }
             req.input.clear();
             req.pending.clear();
             if req.inflight == 0 {
@@ -456,21 +368,12 @@ impl<M, T> Sched<M, T> {
     }
 }
 
-/// The optional batch-routing hook of [`MultiEngine::with_routing`]:
-/// returns the preferred pool for a batch, or `None` to spill it to the
-/// least-loaded pool.
-pub type RouteHook<T> = Arc<dyn Fn(&[T]) -> Option<usize> + Send + Sync>;
-
 struct Shared<M, T> {
     /// The mapper *new* requests capture at open. [`MultiEngine::swap_mapper`]
     /// replaces it; requests already open keep the `Arc` they captured.
     mapper: Mutex<Arc<M>>,
     read_of: fn(&T) -> &DnaSeq,
     threads: usize,
-    /// Worker pools (1 = unrouted). Worker `w` serves pool `w % pools`.
-    pools: usize,
-    /// Routes a pushed batch to its preferred pool ([`RouteHook`]).
-    route: Option<RouteHook<T>>,
     queue_depth: usize,
     /// A request with this many batches in flight + parked in its reorder
     /// buffer is deprioritized until its slowest batch releases (the
@@ -513,32 +416,28 @@ impl<M: ReadMapper, T> Shared<M, T> {
 }
 
 /// The worker loop: pick the most urgent runnable request — past-deadline
-/// first, then by [`Priority`] class, preferring a front batch tagged for
-/// this worker's `pool` and breaking remaining ties in rotation order
-/// (the steal that keeps every worker busy whatever the routing skew) —
-/// then map one batch outside the lock, release in order, repeat. Note
-/// the steal ordering: lateness and class outrank pool affinity, so a
-/// worker abandons locality to serve a late or higher-class request.
-fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
+/// first, then by [`Priority`] class, breaking ties in rotation order —
+/// then map one batch outside the lock, release in order, repeat.
+fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>) {
     let mut guard = relock(&shared.sched);
     loop {
         if guard.shutdown {
             return;
         }
         // One pass over the rotation, keeping the most urgent runnable
-        // candidate: the key orders by (overdue, class, own-pool), and a
+        // candidate: the key orders by (overdue, class), and a
         // strictly-greater comparison keeps the earliest rotation slot on
         // ties — round-robin within each urgency level.
         let now = Instant::now();
-        let mut best: Option<(usize, u64, (bool, usize, bool))> = None;
+        let mut best: Option<(usize, u64, (bool, usize))> = None;
         for slot in 0..guard.rr.len() {
             let id = guard.rr[slot];
             let Some(req) = guard.requests.get(&id) else {
                 continue;
             };
-            let Some(front) = req.input.front() else {
+            if req.input.is_empty() {
                 continue;
-            };
+            }
             // A cancelled request's batches are always poppable (cheap
             // discard); a live one is skipped while its reorder buffer is
             // full — the pick then favors the requests that can make
@@ -550,7 +449,6 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
             let key = (
                 req.deadline.is_some_and(|deadline| now >= deadline),
                 req.priority.index(),
-                front.pool == pool,
             );
             if best.as_ref().is_none_or(|&(_, _, best_key)| key > best_key) {
                 best = Some((slot, id, key));
@@ -569,7 +467,6 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
         let QueuedBatch {
             index,
             items,
-            pool: batch_pool,
             enqueued,
         } = req.input.pop_front().expect("picked request has input");
         req.inflight += 1;
@@ -584,16 +481,12 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
             req.delays.record(waited);
         }
         guard.queued_total -= 1;
-        guard.queued_per_pool[batch_pool] -= 1;
         if live {
             guard.class_delays[class].record(waited);
         }
         guard.recent_picks.push_back(now);
         if guard.recent_picks.len() > RECENT_PICKS {
             guard.recent_picks.pop_front();
-        }
-        if batch_pool != pool {
-            guard.counters.stolen += 1;
         }
         drop(guard);
         shared.space_ready.notify_all();
@@ -715,57 +608,39 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> fmt::Debug for Sh
 
 impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T> {
     /// Spawns the worker pool over a shared mapper. `read_of` projects the
-    /// sequence out of a work item (e.g. `|record| &record.seq`). `config`
-    /// accepts either a [`MultiConfig`] or a shared
-    /// [`EngineOptions`](super::engine::EngineOptions).
-    pub fn new(mapper: Arc<M>, read_of: fn(&T) -> &DnaSeq, config: impl Into<MultiConfig>) -> Self {
-        Self::with_routing(mapper, read_of, config, 1, None)
-    }
-
-    /// [`Self::new`] plus pool routing: workers are partitioned into
-    /// `pools` pools (worker `w` → pool `w % pools`, clamped so every
-    /// pool has a worker), and `route` tags each pushed batch with its
-    /// preferred pool — `None` spills to the least-loaded one. Workers
-    /// prefer their own pool's batches and steal otherwise, so routing
-    /// shapes locality without affecting ordering, output bytes, or
-    /// liveness.
-    pub fn with_routing(
-        mapper: Arc<M>,
-        read_of: fn(&T) -> &DnaSeq,
-        config: impl Into<MultiConfig>,
-        pools: usize,
-        route: Option<RouteHook<T>>,
-    ) -> Self {
-        let config = config.into();
-        let threads = config.threads.max(1);
-        let pools = pools.clamp(1, threads);
-        let queue_depth = if config.queue_depth == 0 {
-            threads * 2
-        } else {
-            config.queue_depth
+    /// sequence out of a work item (e.g. `|record| &record.seq`). From
+    /// `options` the engine reads the thread count (0 = all available
+    /// cores), the per-request input-queue capacity in batches
+    /// (0 = `2 × threads`; [`RequestHandle::push`] blocks past it), the
+    /// admission limit in total queued batches across open requests
+    /// (0 = `4 ×` the queue depth; [`Self::open`] answers [`EngineBusy`]
+    /// past it), and the strand policy.
+    pub fn new(mapper: Arc<M>, read_of: fn(&T) -> &DnaSeq, options: EngineOptions) -> Self {
+        let threads = match options.threads {
+            0 => default_threads(),
+            n => n,
         };
-        let max_queued = if config.max_queued == 0 {
-            queue_depth * 4
-        } else {
-            config.max_queued
+        let queue_depth = match options.queue_depth {
+            0 => threads * 2,
+            n => n,
+        };
+        let max_queued = match options.max_queued {
+            0 => queue_depth * 4,
+            n => n,
         };
         let shared = Arc::new(Shared {
             mapper: Mutex::new(mapper),
             read_of,
             threads,
-            pools,
-            route,
             queue_depth,
             max_ahead: queue_depth + threads,
             max_queued,
-            both_strands: config.both_strands,
+            both_strands: options.both_strands,
             sched: Mutex::new(Sched {
                 requests: BTreeMap::new(),
                 rr: VecDeque::new(),
                 next_id: 0,
                 queued_total: 0,
-                queued_per_pool: vec![0; pools],
-                counters: PoolCounters::default(),
                 class_delays: Default::default(),
                 recent_picks: VecDeque::new(),
                 shutdown: false,
@@ -779,7 +654,7 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("segram-serve-{i}"))
-                    .spawn(move || worker_loop(shared.as_ref(), i % pools))
+                    .spawn(move || worker_loop(shared.as_ref()))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -800,8 +675,8 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
     /// [`Self::open`] with an explicit QoS class and optional deadline
     /// hint. Workers always pick the most urgent queued batch: a request
     /// past its deadline outranks every on-time one, then higher
-    /// [`Priority`] classes outrank lower ones, then pool affinity breaks
-    /// ties (round-robin within a level). The request maps against the
+    /// [`Priority`] classes outrank lower ones, round-robin within a
+    /// level. The request maps against the
     /// mapper active at open time, even across a
     /// [`swap_mapper`](Self::swap_mapper).
     ///
@@ -881,16 +756,6 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
     /// Worker threads in the pool.
     pub fn threads(&self) -> usize {
         self.shared.threads
-    }
-
-    /// Worker pools (1 unless built [`with_routing`](Self::with_routing)).
-    pub fn pools(&self) -> usize {
-        self.shared.pools
-    }
-
-    /// Route/spill/steal totals since the engine started.
-    pub fn pool_counters(&self) -> PoolCounters {
-        relock(&self.shared.sched).counters
     }
 
     /// Stops the pool: cancels every open request and joins the workers.
@@ -998,18 +863,6 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
             return !self.cancel.is_cancelled();
         }
         let shared = self.shared.as_ref();
-        // The pre-route pass runs on the producer (connection) thread,
-        // outside the scheduler lock — minimizer extraction must never
-        // block the worker pool.
-        let preferred = if shared.pools > 1 {
-            shared
-                .route
-                .as_ref()
-                .and_then(|route| route(&items))
-                .filter(|&pool| pool < shared.pools)
-        } else {
-            Some(0)
-        };
         let mut guard = relock(&shared.sched);
         let mut blocked: Option<Instant> = None;
         loop {
@@ -1032,22 +885,6 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        // The spill decision needs the live per-pool depths, so it waits
-        // for the lock (routed batches already know their pool).
-        let pool = match preferred {
-            Some(pool) => {
-                if shared.pools > 1 {
-                    guard.counters.routed += 1;
-                }
-                pool
-            }
-            None => {
-                guard.counters.spilled += 1;
-                (0..shared.pools)
-                    .min_by_key(|&p| guard.queued_per_pool[p])
-                    .expect("at least one pool")
-            }
-        };
         let req = guard
             .requests
             .get_mut(&self.id)
@@ -1055,14 +892,12 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
         req.input.push_back(QueuedBatch {
             index: self.produced,
             items,
-            pool,
             enqueued: Instant::now(),
         });
         let depth = req.input.len();
         req.report.queue.max_depth = req.report.queue.max_depth.max(depth);
         self.produced += 1;
         guard.queued_total += 1;
-        guard.queued_per_pool[pool] += 1;
         drop(guard);
         shared.work_ready.notify_all();
         true
@@ -1227,12 +1062,7 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 2,
-                max_queued: 0,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(2).queue_depth(2),
         );
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
@@ -1290,12 +1120,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 8,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(2)
+                .queue_depth(8)
+                .max_queued(64),
         );
         std::thread::scope(|scope| {
             let victim = scope.spawn(|| {
@@ -1377,12 +1205,7 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth: 2,
-                max_queued: 1,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(1).queue_depth(2).max_queued(1),
         );
         let mut request = engine.open().expect("empty engine admits");
         // Two batches: the worker blocks inside the first (gated), the
@@ -1423,12 +1246,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth: 16,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(1)
+                .queue_depth(16)
+                .max_queued(64),
         );
         std::thread::scope(|scope| {
             let big = scope.spawn(|| {
@@ -1523,58 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_routing_preserves_outcomes_and_accounts_every_batch() {
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineConfig::with_threads(1)).map_batch(&reads);
-        // Alternate pool tags, declining every third batch so the spill
-        // path (least-loaded fallback) is exercised too.
-        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let route: RouteHook<DnaSeq> = {
-            let calls = Arc::clone(&calls);
-            Arc::new(move |_batch| {
-                let n = calls.fetch_add(1, Ordering::SeqCst);
-                if n % 3 == 2 {
-                    None
-                } else {
-                    Some(n % 2)
-                }
-            })
-        };
-        let engine = MultiEngine::with_routing(
-            Arc::new(mapper),
-            seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 4,
-                max_queued: 0,
-                both_strands: false,
-            },
-            2,
-            Some(route),
-        );
-        assert_eq!(engine.pools(), 2);
-        let (outcomes, report) = run_request(&engine, &reads, 2);
-        assert_eq!(report.reads, reads.len());
-        for (a, b) in base.iter().zip(&outcomes) {
-            assert_eq!(key(a), key(b), "routing must not change outcomes");
-        }
-        let counters = engine.pool_counters();
-        let batches = reads.len().div_ceil(2) as u64;
-        assert_eq!(
-            counters.routed + counters.spilled,
-            batches,
-            "every batch is either routed or spilled: {counters:?}"
-        );
-        assert!(counters.spilled > 0, "the declining hook must spill");
-        assert!(
-            counters.stolen <= batches,
-            "steals are a subset of batches: {counters:?}"
-        );
-        engine.shutdown();
-    }
-
-    #[test]
     fn dropping_a_handle_detaches_and_cleans_up() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
@@ -1641,12 +1410,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(1)
+                .queue_depth(queue_depth)
+                .max_queued(64),
         );
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         (engine, gate, log, reads)
@@ -1758,12 +1525,7 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 4,
-                max_queued: 0,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(2).queue_depth(4),
         );
         assert!(
             engine.queue_delays().is_empty(),
@@ -1839,12 +1601,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::clone(&old),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth: 8,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(1)
+                .queue_depth(8)
+                .max_queued(64),
         );
 
         // Open before the swap, but push (and map) everything after it:

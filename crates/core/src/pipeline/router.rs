@@ -61,32 +61,6 @@ impl<'a> ShardRouter<'a> {
     pub fn shards(&self) -> &'a [IndexShard] {
         self.shards
     }
-
-    /// Per-shard seed-hit counts for one read — the elastic scheduler's
-    /// cheap pre-route pass. Extracts the read's minimizers once and
-    /// applies the same global frequency filter as [`Seeder::seed`], but
-    /// records **nothing** into the shard occupancy counters (routing a
-    /// batch must not double-count the seeding load the mapping pass will
-    /// record again).
-    pub fn route_hits(&self, read: &DnaSeq) -> Vec<u64> {
-        let scheme = *self.shards[0].mapper().index().scheme();
-        let minimizers = extract_minimizers(read, &scheme);
-        let mut hits = vec![0u64; self.shards.len()];
-        let mut counts: Vec<u32> = vec![0; self.shards.len()];
-        for m in &minimizers {
-            for (count, shard) in counts.iter_mut().zip(self.shards) {
-                *count = shard.mapper().index().lookup(m).len() as u32;
-            }
-            let freq: u32 = counts.iter().sum();
-            if freq > self.frequency_threshold {
-                continue;
-            }
-            for (hit, count) in hits.iter_mut().zip(&counts) {
-                *hit += u64::from(*count);
-            }
-        }
-        hits
-    }
 }
 
 /// Merges per-shard candidate lists into the monolithic

@@ -14,16 +14,10 @@
 //! SAM/GAF output is byte-identical to the unsharded path (`ci.sh`
 //! enforces this end to end).
 //!
-//! The same greedy size-balanced placement the paper uses to distribute
-//! chromosomes over memory channels ([`balance_loads`], shared with
-//! [`Pangenome::channel_placement`](crate::Pangenome::channel_placement))
-//! also plans the engine's worker-to-shard-group ownership
-//! ([`ShardAffinity`](crate::pipeline::ShardAffinity)). The fanout
-//! schedule treats that plan as informational (routing fans out to every
-//! shard); the elastic schedule
-//! ([`ElasticScheduler`](crate::pipeline::ElasticScheduler)) materializes
-//! it as per-group worker pools and migrates ownership live as the
-//! observed seeding load drifts.
+//! Every engine worker maps against the whole sharded index: each read
+//! fans out to every shard its minimizers hit. The per-shard occupancy
+//! counters ([`ShardStats`]) and [`ShardedIndex::seed_imbalance`] report
+//! how evenly that seeding load spreads over the coordinate ranges.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,11 +39,9 @@ use crate::pipeline::{BitAlignStage, MapPipeline, ShardRouter, SpecPrefilter};
 /// lightest bin. Returns, per bin, the item indices assigned to it (every
 /// item exactly once; bins beyond the item count stay empty).
 ///
-/// This is the paper's Section 8.3 placement rule, shared by
+/// This is the paper's Section 8.3 placement rule, used by
 /// [`Pangenome::channel_placement`](crate::Pangenome::channel_placement)
-/// (chromosomes → memory channels) and
-/// [`ShardAffinity`](crate::pipeline::ShardAffinity) (shards → worker
-/// groups).
+/// (chromosomes → memory channels).
 ///
 /// # Panics
 ///
@@ -120,13 +112,6 @@ impl IndexShard {
     /// observable fact a delta reload's `clean` counter reports.
     pub fn shares_mapper_with(&self, other: &IndexShard) -> bool {
         Arc::ptr_eq(&self.mapper, &other.mapper)
-    }
-
-    /// Bytes of reference data this shard owns in the paper's memory
-    /// layout: its index slice plus its share of the 2-bit-packed graph
-    /// characters.
-    pub fn memory_bytes(&self) -> u64 {
-        self.mapper.index().footprint().total_bytes() + (self.end - self.start).div_ceil(4)
     }
 
     pub(crate) fn record_seed_hits(&self, hits: u64) {
@@ -614,11 +599,6 @@ impl ShardedIndex {
             BitAlignStage::new(&self.config),
             self.config,
         )
-    }
-
-    /// Per-shard memory loads (the inputs to worker-affinity placement).
-    pub fn shard_loads(&self) -> Vec<u64> {
-        self.shards.iter().map(IndexShard::memory_bytes).collect()
     }
 
     /// Snapshot of every shard's occupancy counters.

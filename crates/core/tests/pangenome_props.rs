@@ -1,7 +1,6 @@
 //! Property tests for the pangenome's channel placement — the greedy
 //! size-balanced assignment of chromosomes to memory channels
-//! (Section 8.3), which now also drives the engine's worker-to-shard
-//! affinity through the shared `balance_loads`.
+//! (Section 8.3), through the shared `balance_loads`.
 //!
 //! Invariants: every chromosome is placed on exactly one channel, the
 //! imbalance metric is well-formed (`>= 1.0`), and equal-size chromosomes

@@ -283,12 +283,12 @@ impl<R: Read> Iterator for FastqFramer<R> {
 /// uncompressed bytes.
 ///
 /// Deadlock safety: this turnstile is only sound when block indices are
-/// assigned in the order workers pick them up — true for the fanout
+/// assigned in the order workers pick them up — true for the map
 /// engine's single shared FIFO queue, where the worker holding the
-/// minimum unspliced index is never the one waiting. Multi-queue
-/// schedules (elastic) could park every worker of one pool behind an
-/// index queued on another, so compressed input is restricted to the
-/// fanout schedule at the CLI layer. The wait also polls `cancelled`
+/// minimum unspliced index is never the one waiting. A multi-queue
+/// schedule could park every worker of one queue behind an index queued
+/// on another, so callers must feed the turnstile from one FIFO queue.
+/// The wait also polls `cancelled`
 /// every 50 ms, so a cancelled run (sink failure, upstream error) can
 /// never strand a worker whose predecessor block was abandoned.
 #[derive(Debug, Default)]
@@ -319,7 +319,7 @@ impl FastqSplice {
     /// an earlier block still has not arrived (it never will).
     ///
     /// Blocks until every earlier index has been spliced; see the type
-    /// docs for why that wait is deadlock-free under the fanout engine.
+    /// docs for why that wait is deadlock-free under the map engine.
     pub fn splice(
         &self,
         index: usize,

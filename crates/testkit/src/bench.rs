@@ -215,12 +215,10 @@ impl Bencher {
         );
         match throughput {
             Some(Throughput::Bytes(bytes)) => {
-                let rate = bytes as f64 / median / 1e6;
-                println!("{line} [{rate:.1} MB/s]");
+                println!("{line} [{}]", format_rate(bytes as f64 / median, "B"));
             }
             Some(Throughput::Elements(n)) => {
-                let rate = n as f64 / median / 1e6;
-                println!("{line} [{rate:.2} Melem/s]");
+                println!("{line} [{}]", format_rate(n as f64 / median, "elem"));
             }
             None => println!("{line}"),
         }
@@ -260,6 +258,21 @@ fn format_time(seconds: f64) -> String {
     } else {
         format!("{seconds:.3} s")
     }
+}
+
+/// Formats a per-second rate with the SI prefix that keeps its leading
+/// digits visible: ~70 reads/s prints as `70.0 elem/s`, not `0.00 Melem/s`.
+fn format_rate(per_second: f64, unit: &str) -> String {
+    let (scaled, prefix) = if per_second >= 1e9 {
+        (per_second / 1e9, "G")
+    } else if per_second >= 1e6 {
+        (per_second / 1e6, "M")
+    } else if per_second >= 1e3 {
+        (per_second / 1e3, "K")
+    } else {
+        (per_second, "")
+    };
+    format!("{scaled:.1} {prefix}{unit}/s")
 }
 
 /// Declares a group of benchmark functions (mirrors criterion's macro;
@@ -336,5 +349,15 @@ mod tests {
         assert!(format_time(5e-6).ends_with("µs"));
         assert!(format_time(5e-3).ends_with("ms"));
         assert!(format_time(5.0).ends_with(" s"));
+    }
+
+    #[test]
+    fn format_rate_keeps_the_digits_visible() {
+        assert_eq!(format_rate(70.0, "elem"), "70.0 elem/s");
+        assert_eq!(format_rate(0.5, "elem"), "0.5 elem/s");
+        assert_eq!(format_rate(12_345.0, "elem"), "12.3 Kelem/s");
+        assert_eq!(format_rate(2.5e6, "elem"), "2.5 Melem/s");
+        assert_eq!(format_rate(1024.0 * 1024.0, "B"), "1.0 MB/s");
+        assert_eq!(format_rate(3.2e9, "B"), "3.2 GB/s");
     }
 }
